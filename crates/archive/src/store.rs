@@ -8,6 +8,7 @@
 use crate::durability::{self, ColdDocs, DurabilityConfig, DurableHandle};
 use crate::medium::{AccessCost, Medium};
 use parking_lot::{Mutex, RwLock};
+use saq_core::algebra::{QueryEngine as _, QueryExpr, StoreEngine};
 use saq_core::{QueryOutcome, QuerySpec, Result, SequenceStore, StoreConfig};
 use saq_durable::{Backend, DurableConfig, DurableStore, WalRecord};
 use saq_index::cold::SegmentIndexSet;
@@ -837,7 +838,7 @@ impl TieredStore {
     /// returning the outcome and the simulated local read cost (reading
     /// every representation's parameters once).
     pub fn query_local(&self, query: &QuerySpec) -> Result<(QueryOutcome, f64)> {
-        let outcome = saq_core::query::evaluate(&self.local, query)?;
+        let outcome = StoreEngine::new(&self.local).execute(&QueryExpr::from(query.clone()))?;
         let report = self.local.total_compression();
         let bytes = report.parameters as u64 * BYTES_PER_PARAM;
         let cost = self.local_medium.access(bytes).total();

@@ -4,10 +4,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use saq_archive::{ArchiveStore, Medium};
-use saq_core::algebra::QueryExpr;
+use saq_core::algebra::{Pred, QueryExpr};
 use saq_core::query::QuerySpec;
 use saq_core::{QueryOutcome, QueryRequest};
-use saq_engine::{BatchQuery, EngineConfig, QueryEngine};
+use saq_engine::{EngineConfig, QueryEngine};
 use saq_sequence::generators::{goalpost, random_walk, GoalpostSpec};
 
 fn archive(n: u64) -> ArchiveStore {
@@ -25,12 +25,12 @@ fn archive(n: u64) -> ArchiveStore {
     archive
 }
 
-fn batch() -> Vec<BatchQuery> {
+fn batch() -> Vec<Pred> {
     vec![
-        BatchQuery::Feature(QuerySpec::Shape { pattern: "0* 1+ (-1)+ 0* 1+ (-1)+ 0*".into() }),
-        BatchQuery::Feature(QuerySpec::PeakCount { count: 2, tolerance: 1 }),
-        BatchQuery::Feature(QuerySpec::HasSteepPeak { steepness: 1.5, slack: 0.2 }),
-        BatchQuery::ValueBand { query: goalpost(GoalpostSpec::default()), delta: 1.0, slack: 1.0 },
+        Pred::Feature(QuerySpec::Shape { pattern: "0* 1+ (-1)+ 0* 1+ (-1)+ 0*".into() }),
+        Pred::Feature(QuerySpec::PeakCount { count: 2, tolerance: 1 }),
+        Pred::Feature(QuerySpec::HasSteepPeak { steepness: 1.5, slack: 0.2 }),
+        Pred::ValueBand { query: goalpost(GoalpostSpec::default()), delta: 1.0, slack: 1.0 },
     ]
 }
 
@@ -48,12 +48,10 @@ fn engine(workers: usize, capacity: usize) -> QueryEngine {
 fn run_wave(
     engine: &QueryEngine,
     store: &ArchiveStore,
-    queries: &[BatchQuery],
+    requests: &[QueryRequest],
 ) -> Vec<QueryOutcome> {
-    let requests: Vec<QueryRequest> =
-        queries.iter().map(|q| QueryRequest::expr(QueryExpr::Leaf(q.to_pred()))).collect();
     engine
-        .run_requests(&store.snapshot(), &requests)
+        .run_requests(&store.snapshot(), requests)
         .unwrap()
         .into_iter()
         .map(|r| r.unwrap().outcome)
@@ -63,21 +61,23 @@ fn run_wave(
 fn bench_engine(c: &mut Criterion) {
     let store = archive(64);
     let queries = batch();
+    let requests: Vec<QueryRequest> =
+        queries.iter().cloned().map(QueryExpr::Leaf).map(QueryRequest::expr).collect();
 
     let mut group = c.benchmark_group("engine");
     for workers in [1usize, 4] {
         group.bench_with_input(BenchmarkId::new("cold-batch", workers), &workers, |b, &workers| {
             b.iter(|| {
                 // A fresh engine per iteration keeps the cache cold.
-                run_wave(&engine(workers, 64), &store, &queries)
+                run_wave(&engine(workers, 64), &store, &requests)
             });
         });
     }
 
     let warm = engine(4, 64);
-    run_wave(&warm, &store, &queries);
+    run_wave(&warm, &store, &requests);
     group.bench_function("warm-batch-4w", |b| {
-        b.iter(|| run_wave(&warm, &store, &queries));
+        b.iter(|| run_wave(&warm, &store, &requests));
     });
 
     let sequential = engine(1, 64);

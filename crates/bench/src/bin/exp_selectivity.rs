@@ -34,7 +34,7 @@ use saq_bench::{banner, env_f64, env_usize};
 use saq_core::algebra::{IndexCaps, QueryEngine, QueryExpr, StoreEngine};
 use saq_core::store::{SequenceStore, StoreConfig};
 use saq_core::QueryRequest;
-use saq_engine::{BatchQuery, EngineConfig, QueryEngine as ShardedEngine};
+use saq_engine::{EngineConfig, QueryEngine as ShardedEngine};
 use saq_sequence::generators::{goalpost, peaks, GoalpostSpec, PeaksSpec};
 use saq_sequence::Sequence;
 
@@ -59,10 +59,8 @@ fn skewed_ward(n: usize) -> Vec<Sequence> {
 
 /// One coalesced wave through the unified request API; outcomes are
 /// dropped — the experiment reads the archive's fetch counters instead.
-fn run_wave(engine: &ShardedEngine, archive: &ArchiveStore, queries: &[BatchQuery]) {
-    let requests: Vec<QueryRequest> =
-        queries.iter().map(|q| QueryRequest::expr(QueryExpr::Leaf(q.to_pred()))).collect();
-    for resp in engine.run_requests(&archive.snapshot(), &requests).unwrap() {
+fn run_wave(engine: &ShardedEngine, archive: &ArchiveStore, requests: &[QueryRequest]) {
+    for resp in engine.run_requests(&archive.snapshot(), requests).unwrap() {
         resp.unwrap();
     }
 }
@@ -114,8 +112,7 @@ fn main() {
         ..EngineConfig::default()
     })
     .unwrap();
-    let two_peaks =
-        vec![BatchQuery::Feature(saq_core::QuerySpec::PeakCount { count: 2, tolerance: 0 })];
+    let two_peaks = [QueryRequest::expr(QueryExpr::peak_count(2, 0))];
     run_wave(&engine, &archive, &two_peaks);
     let cold_fetches = archive.fetch_count();
     let k = 5u64;

@@ -21,16 +21,14 @@
 //!   access is abstracted behind [`LeafSource`], so the sequential store
 //!   engine, the sequential archive engine, and the sharded batch engine
 //!   all produce **id-identical** outcomes by construction.
-//! * [`QueryEngine`] — the trait the engines implement;
-//!   [`QueryEngine::evaluate`] keeps the old one-spec-at-a-time API alive
-//!   by lowering to a single-leaf expression.
+//! * [`QueryEngine`] — the trait the engines implement; a classic
+//!   [`QuerySpec`] runs as a single-leaf expression (`QueryExpr::from`).
 //!
 //! ## Semantics
 //!
 //! Every subexpression evaluates to a [`MatchSet`]: per sequence id, a
 //! [`MatchTier`] holding a deviation and an exact/approximate flag.
-//! Combination follows §2.2's per-dimension metrics (and the conjunctive
-//! query language of [`crate::lang`]):
+//! Combination follows §2.2's per-dimension metrics:
 //!
 //! * `And` — a sequence matches iff it matches every operand; deviations
 //!   **add** across dimensions, and the result is exact iff every operand
@@ -1323,8 +1321,7 @@ pub trait QueryEngine {
     /// The unified entry point: answers one [`QueryRequest`] — SAQL text
     /// or a built expression, optionally pinned to a snapshot, with stats
     /// and explain on demand. Every engine (and the `saqd` server)
-    /// answers through this method; the older per-shape entry points are
-    /// deprecated shims over it.
+    /// answers through this method.
     ///
     /// The default implementation composes [`QueryRequest::resolve`],
     /// [`QueryRequest::verify_pin`] against [`QueryEngine::snapshot_ref`],
@@ -1376,28 +1373,6 @@ pub trait QueryEngine {
     fn execute(&self, expr: &QueryExpr) -> Result<QueryOutcome> {
         Ok(self.execute_with_stats(expr)?.0)
     }
-
-    /// Back-compat entry point: evaluates a classic single-spec query by
-    /// lowering it to a single-leaf expression.
-    #[deprecated(note = "use `request` with `QueryRequest::expr`")]
-    fn evaluate(&self, spec: &QuerySpec) -> Result<QueryOutcome> {
-        Ok(self.request(&QueryRequest::expr(QueryExpr::from(spec.clone())))?.outcome)
-    }
-
-    /// Parses a SAQL query ([`crate::lang::saql`]) and executes it; parse
-    /// errors surface as [`Error::Saql`] with the caret diagnostic
-    /// intact.
-    #[deprecated(note = "use `request` with `QueryRequest::saql`")]
-    fn execute_saql(&self, text: &str) -> Result<QueryOutcome> {
-        Ok(self.request(&QueryRequest::saql(text))?.outcome)
-    }
-
-    /// As `execute_saql`, returning execution counters too.
-    #[deprecated(note = "use `request` with `QueryRequest::saql(..).with_stats()`")]
-    fn execute_saql_with_stats(&self, text: &str) -> Result<(QueryOutcome, ExecStats)> {
-        let resp = self.request(&QueryRequest::saql(text).with_stats())?;
-        Ok((resp.outcome, resp.stats.expect("stats were requested")))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1433,8 +1408,8 @@ impl<'a> StoreEngine<'a> {
     /// statistics-driven planning: plans whose conjunctions have
     /// something to order are cost-ordered by a fresh snapshot of the
     /// store's cardinality estimates. The snapshot is taken lazily, per
-    /// plan — single-leaf expressions (the classic
-    /// [`QueryEngine::evaluate`] path) never pay for it.
+    /// plan — single-leaf expressions (a classic [`QuerySpec`] lowered
+    /// with `QueryExpr::from`) never pay for it.
     pub fn new(store: &'a SequenceStore) -> StoreEngine<'a> {
         StoreEngine { store, caps: IndexCaps::all(), use_stats: true }
     }
@@ -2048,9 +2023,9 @@ mod tests {
         assert_eq!(out.approximate.iter().map(|m| m.id).collect::<Vec<_>>(), vec![b]);
     }
 
-    // The deprecated shim must stay byte-identical to the unified path.
+    // A classic spec sent as a single-leaf request answers byte-identically
+    // to executing the expression it lowers to.
     #[test]
-    #[allow(deprecated)]
     fn evaluate_shim_matches_execute() {
         let (store, _) = corpus();
         let engine = StoreEngine::new(&store);
@@ -2061,9 +2036,9 @@ mod tests {
             QuerySpec::MinPeakSteepness { steepness: 0.5, slack: 0.2 },
             QuerySpec::HasSteepPeak { steepness: 1.0, slack: 0.2 },
         ] {
-            let via_trait = engine.evaluate(&spec).unwrap();
-            let via_expr = engine.execute(&QueryExpr::from(spec.clone())).unwrap();
-            assert_eq!(via_trait, via_expr, "{spec:?}");
+            let expr = QueryExpr::from(spec.clone());
+            let via_request = engine.request(&QueryRequest::expr(expr.clone())).unwrap().outcome;
+            assert_eq!(via_request, engine.execute(&expr).unwrap(), "{spec:?}");
         }
     }
 

@@ -1,12 +1,11 @@
 //! **SAQL** — the textual surface for the *full* query algebra.
 //!
-//! The classic clause language ([`crate::lang::parse_query`]) covers flat
-//! conjunctions of feature clauses; SAQL covers every [`QueryExpr`] shape:
-//! `and` / `or` / `not` with conventional precedence and parentheses,
-//! trailing `limit n` / `topk k` truncations, id-range leaves
-//! (`id in [lo..hi]`), value-band leaves (`band [t:v, …] delta δ slack s`)
-//! and the feature leaves of the clause language unchanged. A parsed
-//! expression lowers onto the existing [`Planner`] / [`QueryEngine`](crate::algebra::QueryEngine)
+//! SAQL covers every [`QueryExpr`] shape: `and` / `or` / `not` with
+//! conventional precedence and parentheses, trailing `limit n` / `topk k`
+//! truncations, id-range leaves (`id in [lo..hi]`), value-band leaves
+//! (`band [t:v, …] delta δ slack s`) and the feature leaves (shape, peak
+//! count, peak interval, steepness). A parsed expression lowers onto the
+//! existing [`Planner`] / [`QueryEngine`](crate::algebra::QueryEngine)
 //! machinery — SAQL adds no execution semantics of its own.
 //!
 //! ## Grammar
@@ -165,7 +164,7 @@ impl std::error::Error for SaqlError {}
 enum Tok {
     /// A bare word, lowercased (keywords are case-insensitive).
     Word(String),
-    /// A double-quoted string (no escapes, matching the clause language).
+    /// A double-quoted string (no escapes).
     Str(String),
     /// A numeric literal, kept as its raw lexeme so integer contexts can
     /// parse it with full `u64`/`i64` precision.
@@ -401,9 +400,9 @@ pub fn parse(text: &str) -> Result<QueryExpr> {
     parse_spanned(text).map_err(|e| Error::Saql { error: e, query: text.to_string() })
 }
 
-/// Parses a SAQL query and plans it in one step — the convenience engines
-/// use to accept textual queries (see
-/// [`QueryEngine::execute_saql`](crate::algebra::QueryEngine::execute_saql)).
+/// Parses a SAQL query and plans it in one step — what an engine does with
+/// a textual request before executing it (see
+/// [`QueryEngine::request`](crate::algebra::QueryEngine::request)).
 ///
 /// ```
 /// use saq_core::algebra::{IndexCaps, Planner};
@@ -879,6 +878,7 @@ fn finite(v: f64, what: &str) -> Result<f64> {
 mod tests {
     use super::*;
     use crate::algebra::{IndexCaps, QueryEngine as _, StoreEngine};
+    use crate::request::QueryRequest;
     use crate::store::{SequenceStore, StoreConfig};
     use saq_sequence::generators::{goalpost, peaks, GoalpostSpec, PeaksSpec};
 
@@ -1132,19 +1132,25 @@ mod tests {
         (store, ids)
     }
 
-    // The deprecated shim must stay byte-identical to the unified path.
+    // A textual request must answer byte-identically to executing the
+    // expression it denotes — single feature leaves and compound trees.
     #[test]
-    #[allow(deprecated)]
     fn execute_saql_matches_the_constructed_expression() {
         let (store, ids) = corpus();
         let engine = StoreEngine::new(&store);
-        let text = format!("shape \"{GOALPOST}\" or peaks = 3 topk 2");
-        let via_text = engine.execute_saql(&text).unwrap();
-        let via_expr = engine
-            .execute(&QueryExpr::shape(GOALPOST).or(QueryExpr::peak_count(3, 0)).top_k(2))
-            .unwrap();
-        assert_eq!(via_text, via_expr);
-        assert!(via_text.all_ids().contains(&ids[1]));
+        let compound = QueryExpr::shape(GOALPOST).or(QueryExpr::peak_count(3, 0)).top_k(2);
+        for (text, expr) in [
+            (format!("shape \"{GOALPOST}\""), QueryExpr::shape(GOALPOST)),
+            ("peaks = 2 tol 1".into(), QueryExpr::peak_count(2, 1)),
+            ("interval = 8 tol 2".into(), QueryExpr::peak_interval(8, 2)),
+            ("steepness all >= 0.5 slack 0.2".into(), QueryExpr::min_steepness(0.5, 0.2)),
+            ("steepness any >= 1 slack 0.2".into(), QueryExpr::has_steep_peak(1.0, 0.2)),
+            (format!("shape \"{GOALPOST}\" or peaks = 3 topk 2"), compound.clone()),
+        ] {
+            let via_text = engine.request(&QueryRequest::saql(text.as_str())).unwrap().outcome;
+            assert_eq!(via_text, engine.execute(&expr).unwrap(), "`{text}`");
+        }
+        assert!(engine.execute(&compound).unwrap().all_ids().contains(&ids[1]));
     }
 
     #[test]

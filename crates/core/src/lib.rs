@@ -29,8 +29,7 @@
 //!    `saq-index` structures, and the [`QueryEngine`] trait shared by the
 //!    sequential and sharded execution backends.
 //! 8. **Languages** ([`lang`]) — SAQL ([`lang::saql`]), the textual
-//!    surface for the full algebra (grammar in `docs/SAQL.md`), and the
-//!    original conjunctive clause language as a shim over its subset.
+//!    surface for the full algebra (grammar in `docs/SAQL.md`).
 //! 9. **Streaming** ([`streaming`], [`subscribe`]) — incremental
 //!    re-representation for live appends (splicing the online breaker's
 //!    stable prefix) and standing queries whose result-set deltas are
@@ -61,7 +60,6 @@ mod error;
 pub mod features;
 pub mod lang;
 pub mod multi;
-pub mod persist;
 pub mod query;
 pub mod repr;
 pub mod request;
@@ -79,9 +77,7 @@ pub use brk::Breaker;
 pub use error::{Error, Result};
 pub use features::{Peak, PeakTable};
 pub use lang::saql::{parse as parse_saql, parse_and_plan, print as print_saql, SaqlError, Span};
-pub use lang::{parse_query, run_query, ParsedQuery};
 pub use multi::{Family, MultiSeries};
-pub use persist::{load_series, read_series, save_series, write_series, write_series_text};
 pub use query::{ApproximateMatch, PreparedQuery, QueryOutcome, QuerySpec, SequenceMatch};
 pub use repr::{CompressionReport, FunctionSeries, LinearSeries, Segment};
 pub use request::{QueryBody, QueryRequest, QueryResponse, SnapshotRef};

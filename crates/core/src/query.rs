@@ -1,4 +1,5 @@
-//! Generalized approximate queries (§2.2) over a [`SequenceStore`].
+//! Generalized approximate queries (§2.2) over a
+//! [`SequenceStore`](crate::store::SequenceStore).
 //!
 //! A query specifies a value-independent pattern; the answer set `S` is
 //! closed under feature-preserving transformations. A result is **exact** if
@@ -8,7 +9,7 @@
 
 use crate::alphabet::parse_slope_pattern;
 use crate::error::Result;
-use crate::store::{SequenceStore, StoredEntry};
+use crate::store::StoredEntry;
 
 /// A generalized approximate query.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,9 +99,9 @@ pub enum SequenceMatch {
 /// linear scan of its symbol string.
 ///
 /// [`PreparedQuery::matches`] is the per-sequence semantics that both the
-/// store-level [`evaluate`] and the batch engine's sharded executor agree
-/// on; index-assisted paths (pattern index, inverted interval file) are
-/// accelerations of exactly this predicate.
+/// store engine ([`crate::algebra::StoreEngine`]) and the batch engine's
+/// sharded executor agree on; index-assisted paths (pattern index,
+/// inverted interval file) are accelerations of exactly this predicate.
 #[derive(Debug, Clone)]
 pub struct PreparedQuery {
     spec: QuerySpec,
@@ -171,19 +172,6 @@ impl PreparedQuery {
     }
 }
 
-/// Evaluates a query against a store.
-///
-/// Since the query-algebra redesign this is a thin back-compat shim: the
-/// spec is lowered to a single-leaf [`crate::algebra::QueryExpr`] and run
-/// through the planner-backed [`crate::algebra::StoreEngine`], which
-/// serves shape leaves from the pattern index and interval leaves from the
-/// inverted file exactly as this function always did.
-pub fn evaluate(store: &SequenceStore, query: &QuerySpec) -> Result<QueryOutcome> {
-    use crate::algebra::{QueryEngine as _, QueryExpr};
-    let req = crate::request::QueryRequest::expr(QueryExpr::from(query.clone()));
-    Ok(crate::algebra::StoreEngine::new(store).request(&req)?.outcome)
-}
-
 /// Shared body of the two steepness dimensions: `fold`/`init` select the
 /// universal (min over peaks) or existential (max over peaks) reading.
 fn steepness_match(
@@ -218,7 +206,8 @@ pub fn sort_approximate_matches(matches: &mut [ApproximateMatch]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::StoreConfig;
+    use crate::algebra::{QueryEngine as _, QueryExpr, StoreEngine};
+    use crate::store::{SequenceStore, StoreConfig};
     use saq_sequence::generators::{goalpost, peaks, GoalpostSpec, PeaksSpec};
 
     fn sort_outcome(outcome: &mut QueryOutcome) {
@@ -243,9 +232,9 @@ mod tests {
     #[test]
     fn shape_query_goalpost() {
         let (store, ids) = corpus();
-        let out =
-            evaluate(&store, &QuerySpec::Shape { pattern: "0* 1+ (-1)+ 0* 1+ (-1)+ 0*".into() })
-                .unwrap();
+        let out = StoreEngine::new(&store)
+            .execute(&QueryExpr::shape("0* 1+ (-1)+ 0* 1+ (-1)+ 0*"))
+            .unwrap();
         assert_eq!(out.exact, vec![ids[1], ids[2]]);
         assert!(out.approximate.is_empty());
     }
@@ -253,13 +242,13 @@ mod tests {
     #[test]
     fn shape_query_bad_pattern_errors() {
         let (store, _) = corpus();
-        assert!(evaluate(&store, &QuerySpec::Shape { pattern: "((".into() }).is_err());
+        assert!(StoreEngine::new(&store).execute(&QueryExpr::shape("((")).is_err());
     }
 
     #[test]
     fn peak_count_exact_and_approximate() {
         let (store, ids) = corpus();
-        let out = evaluate(&store, &QuerySpec::PeakCount { count: 2, tolerance: 1 }).unwrap();
+        let out = StoreEngine::new(&store).execute(&QueryExpr::peak_count(2, 1)).unwrap();
         assert_eq!(out.exact, vec![ids[1], ids[2]]);
         let approx_ids: Vec<u64> = out.approximate.iter().map(|m| m.id).collect();
         assert_eq!(approx_ids, vec![ids[0], ids[3]]);
@@ -267,7 +256,7 @@ mod tests {
             assert_eq!(m.deviation, 1.0);
         }
         // Zero tolerance drops the approximate tier.
-        let strict = evaluate(&store, &QuerySpec::PeakCount { count: 2, tolerance: 0 }).unwrap();
+        let strict = StoreEngine::new(&store).execute(&QueryExpr::peak_count(2, 0)).unwrap();
         assert!(strict.approximate.is_empty());
         assert_eq!(strict.exact.len(), 2);
     }
@@ -276,10 +265,10 @@ mod tests {
     fn peak_interval_query() {
         let (store, ids) = corpus();
         // The default goalpost has peaks at ~8 and ~18 => interval ~10.
-        let out = evaluate(&store, &QuerySpec::PeakInterval { interval: 10, epsilon: 1 }).unwrap();
+        let out = StoreEngine::new(&store).execute(&QueryExpr::peak_interval(10, 1)).unwrap();
         assert!(out.all_ids().contains(&ids[1]), "{out:?}");
         // The 3-peak sequence has ~8h intervals; exact query at 8 finds it.
-        let out8 = evaluate(&store, &QuerySpec::PeakInterval { interval: 8, epsilon: 0 }).unwrap();
+        let out8 = StoreEngine::new(&store).execute(&QueryExpr::peak_interval(8, 0)).unwrap();
         assert!(out8.all_ids().contains(&ids[3]), "{out8:?}");
         assert!(out8.approximate.is_empty());
     }
@@ -292,7 +281,7 @@ mod tests {
         let id = store
             .insert(&peaks(PeaksSpec { centers: vec![4.0, 12.0, 20.0], ..PeaksSpec::default() }))
             .unwrap();
-        let out = evaluate(&store, &QuerySpec::PeakInterval { interval: 8, epsilon: 2 }).unwrap();
+        let out = StoreEngine::new(&store).execute(&QueryExpr::peak_interval(8, 2)).unwrap();
         assert_eq!(out.exact, vec![id]);
         assert!(out.approximate.is_empty());
     }
@@ -301,12 +290,10 @@ mod tests {
     fn steepness_query() {
         let (store, _) = corpus();
         // Fever ramps are steep; tiny threshold matches everything with peaks.
-        let loose =
-            evaluate(&store, &QuerySpec::MinPeakSteepness { steepness: 0.3, slack: 0.0 }).unwrap();
+        let loose = StoreEngine::new(&store).execute(&QueryExpr::min_steepness(0.3, 0.0)).unwrap();
         assert_eq!(loose.exact.len(), 4);
         // Impossibly steep threshold matches nothing.
-        let strict =
-            evaluate(&store, &QuerySpec::MinPeakSteepness { steepness: 1e6, slack: 0.0 }).unwrap();
+        let strict = StoreEngine::new(&store).execute(&QueryExpr::min_steepness(1e6, 0.0)).unwrap();
         assert!(strict.exact.is_empty() && strict.approximate.is_empty());
     }
 
@@ -327,11 +314,9 @@ mod tests {
         store.insert(&gentle).unwrap();
         let threshold = 2.5;
         let universal =
-            evaluate(&store, &QuerySpec::MinPeakSteepness { steepness: threshold, slack: 0.0 })
-                .unwrap();
+            StoreEngine::new(&store).execute(&QueryExpr::min_steepness(threshold, 0.0)).unwrap();
         let existential =
-            evaluate(&store, &QuerySpec::HasSteepPeak { steepness: threshold, slack: 0.0 })
-                .unwrap();
+            StoreEngine::new(&store).execute(&QueryExpr::has_steep_peak(threshold, 0.0)).unwrap();
         assert!(existential.exact.contains(&id_mixed));
         assert!(universal.exact.len() <= existential.exact.len());
     }

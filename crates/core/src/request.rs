@@ -1,15 +1,13 @@
 //! The unified request/response surface shared by every engine and the
 //! `saqd` server.
 //!
-//! Historically each entry point grew its own shape — `execute` for
-//! expressions, `evaluate` for classic specs, `execute_saql` for text,
-//! `run`/`run_snapshot` for engine batches — and a networked server would
-//! have needed one wire message per method. [`QueryRequest`] collapses
-//! them: one value names the query (SAQL text or a built [`QueryExpr`]),
-//! an optional snapshot pin, and which extras (stats, explain) the caller
+//! One value names the query (SAQL text or a built [`QueryExpr`]), an
+//! optional snapshot pin, and which extras (stats, explain) the caller
 //! wants back; one [`QueryResponse`] carries everything an engine can
-//! say about a run. `QueryEngine::request` is the single entry point —
-//! the old methods survive as thin deprecated shims over it.
+//! say about a run, so a networked server needs one wire message for
+//! every kind of query. `QueryEngine::request` is the single entry point
+//! (a coalesced wave of requests goes through
+//! `saq_engine::QueryEngine::run_requests`).
 
 use crate::algebra::{ExecStats, QueryExpr};
 use crate::error::{Error, Result};

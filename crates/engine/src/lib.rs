@@ -7,9 +7,9 @@
 //! batches, or whole [`QueryExpr`] trees — pushed down to a large archive
 //! whose per-sequence representations are computed on demand.
 //!
-//! The execution model (every run first captures an [`ArchiveSnapshot`] —
-//! or reuses one via [`QueryEngine::run_snapshot`] /
-//! [`QueryEngine::bind_snapshot`] — and reads that pinned generation
+//! The execution model (every run reads one [`ArchiveSnapshot`] — the
+//! one handed to [`QueryEngine::run_requests`] or
+//! [`QueryEngine::bind_snapshot`], or one [`QueryEngine::bind`] captures —
 //! end-to-end, so concurrent writers never tear a batch):
 //!
 //! 1. **Plan** — an expression is normalized and planned by the shared
@@ -89,7 +89,6 @@ use saq_core::store::{StoreConfig, StoredEntry};
 use saq_core::subscribe::{Delta, SubscriptionId, SubscriptionRegistry};
 use saq_core::{Error, Result};
 use saq_index::{DocPager as _, IndexDoc, IndexSet, SequenceIndex as _};
-use saq_sequence::Sequence;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -127,41 +126,6 @@ impl Default for EngineConfig {
             cache_capacity: 1024,
             store: StoreConfig::default(),
             adaptive: true,
-        }
-    }
-}
-
-/// One query of a batch.
-#[derive(Debug, Clone, PartialEq)]
-pub enum BatchQuery {
-    /// A generalized approximate feature query (shape, peak count, peak
-    /// interval, steepness), with the store-level semantics of
-    /// [`saq_core::query::evaluate`].
-    Feature(QuerySpec),
-    /// The value-based comparator (Fig. 1): a stored sequence matches
-    /// exactly when every sample lies within the ±δ envelope of `query`,
-    /// and approximately when it lies within ±δ·(1 + `slack`) (deviation =
-    /// distance − δ). Length mismatches never match.
-    ValueBand {
-        /// The envelope's center sequence.
-        query: Sequence,
-        /// Envelope half-width δ (≥ 0).
-        delta: f64,
-        /// Fractional widening for the approximate tier (≥ 0; 0 = exact
-        /// Fig. 1 semantics).
-        slack: f64,
-    },
-}
-
-impl BatchQuery {
-    /// Lowers to the algebra's leaf predicate — batch queries are exactly
-    /// single-leaf expressions.
-    pub fn to_pred(&self) -> Pred {
-        match self {
-            BatchQuery::Feature(spec) => Pred::Feature(spec.clone()),
-            BatchQuery::ValueBand { query, delta, slack } => {
-                Pred::ValueBand { query: query.clone(), delta: *delta, slack: *slack }
-            }
         }
     }
 }
@@ -239,9 +203,9 @@ impl QueryEngine {
         self.cache.lock().lru = LruCache::new(self.config.cache_capacity);
     }
 
-    /// Per-worker simulated clocks of the most recent [`QueryEngine::run`]
-    /// or [`BoundEngine`] execution: the simulated makespan of a parallel
-    /// batch versus the serial total.
+    /// Per-worker simulated clocks of the most recent
+    /// [`QueryEngine::run_requests`] or [`BoundEngine`] execution: the
+    /// simulated makespan of a parallel batch versus the serial total.
     pub fn last_run_report(&self) -> RunReport {
         self.last_run.lock().clone()
     }
@@ -411,58 +375,17 @@ impl QueryEngine {
         registry.pump(&bound, dirty.as_deref(), None)
     }
 
-    /// Runs a batch of queries over every archived sequence using the
-    /// worker pool; returns one outcome per query, in query order. The
-    /// run captures a snapshot of the archive up front and is pinned to it
-    /// end-to-end — a writer mutating the archive mid-run cannot tear the
-    /// results.
-    ///
-    /// Results are identical — same hits, same order — to
-    /// [`QueryEngine::run_sequential`] for any worker/shard configuration.
-    #[deprecated(note = "use `run_requests` with `QueryRequest`s")]
-    pub fn run(&self, archive: &ArchiveStore, queries: &[BatchQuery]) -> Result<Vec<QueryOutcome>> {
-        self.batch_outcomes(&archive.snapshot(), queries)
-    }
-
-    /// As `run`, over an already-captured snapshot: planner input, leaf
-    /// evaluation, and the feature cache's `(instance, generation)` stamp
-    /// all read the pinned generation.
-    #[deprecated(note = "use `run_requests` with `QueryRequest`s")]
-    pub fn run_snapshot(
-        &self,
-        snapshot: &ArchiveSnapshot,
-        queries: &[BatchQuery],
-    ) -> Result<Vec<QueryOutcome>> {
-        self.batch_outcomes(snapshot, queries)
-    }
-
-    /// Shared body of the deprecated batch shims: lower each
-    /// [`BatchQuery`] to a single-leaf request and run them as one wave —
-    /// the same code path (and therefore byte-identical results) as the
-    /// unified API.
-    fn batch_outcomes(
-        &self,
-        snapshot: &ArchiveSnapshot,
-        queries: &[BatchQuery],
-    ) -> Result<Vec<QueryOutcome>> {
-        let requests: Vec<QueryRequest> =
-            queries.iter().map(|q| QueryRequest::expr(QueryExpr::Leaf(q.to_pred()))).collect();
-        self.run_requests(snapshot, &requests)?
-            .into_iter()
-            .map(|r| r.map(|resp| resp.outcome))
-            .collect()
-    }
-
     /// The single-threaded reference path: one pass over the sorted ids of
-    /// a fresh snapshot, no sharding, no cache. The oracle that `run` is
-    /// property-tested against.
+    /// a fresh snapshot, no sharding, no cache, one outcome per predicate.
+    /// The oracle that [`QueryEngine::run_requests`] is property-tested
+    /// against.
     pub fn run_sequential(
         &self,
         archive: &ArchiveStore,
-        queries: &[BatchQuery],
+        preds: &[Pred],
     ) -> Result<Vec<QueryOutcome>> {
         let preds: Vec<PreparedPred> =
-            queries.iter().map(|q| PreparedPred::new(&q.to_pred())).collect::<Result<_>>()?;
+            preds.iter().map(PreparedPred::new).collect::<Result<_>>()?;
         let snapshot = archive.snapshot();
         let mut sets = vec![MatchSet::new(); preds.len()];
         for &id in snapshot.ids() {
@@ -1235,17 +1158,13 @@ impl LeafSource for WaveSource<'_> {
     }
 }
 
-// The classic `run`/`run_snapshot` shims are deprecated but must keep
-// working byte-identically — these tests deliberately keep exercising
-// them (they now route through `run_requests`, so every cache and
-// invalidation test below covers the unified path too).
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use saq_archive::Medium;
     use saq_core::algebra::QueryEngine as _;
     use saq_sequence::generators::{goalpost, peaks, random_walk, GoalpostSpec, PeaksSpec};
+    use saq_sequence::Sequence;
 
     fn mixed_archive(n: u64) -> ArchiveStore {
         let mut archive = ArchiveStore::new(Medium::memory());
@@ -1265,17 +1184,26 @@ mod tests {
         archive
     }
 
-    fn batch() -> Vec<BatchQuery> {
+    /// Runs single-leaf `preds` as one coalesced wave pinned to
+    /// `snapshot`, so every cache and invalidation test below covers the
+    /// path `saqd` serves.
+    fn run_wave(
+        engine: &QueryEngine,
+        snapshot: &ArchiveSnapshot,
+        preds: &[Pred],
+    ) -> Result<Vec<QueryOutcome>> {
+        let requests: Vec<QueryRequest> =
+            preds.iter().map(|p| QueryRequest::expr(QueryExpr::Leaf(p.clone()))).collect();
+        engine.run_requests(snapshot, &requests)?.into_iter().map(|r| Ok(r?.outcome)).collect()
+    }
+
+    fn batch() -> Vec<Pred> {
         vec![
-            BatchQuery::Feature(QuerySpec::Shape { pattern: "0* 1+ (-1)+ 0* 1+ (-1)+ 0*".into() }),
-            BatchQuery::Feature(QuerySpec::PeakCount { count: 2, tolerance: 1 }),
-            BatchQuery::Feature(QuerySpec::PeakInterval { interval: 7, epsilon: 2 }),
-            BatchQuery::Feature(QuerySpec::HasSteepPeak { steepness: 1.5, slack: 0.3 }),
-            BatchQuery::ValueBand {
-                query: goalpost(GoalpostSpec::default()),
-                delta: 1.0,
-                slack: 0.5,
-            },
+            Pred::Feature(QuerySpec::Shape { pattern: "0* 1+ (-1)+ 0* 1+ (-1)+ 0*".into() }),
+            Pred::Feature(QuerySpec::PeakCount { count: 2, tolerance: 1 }),
+            Pred::Feature(QuerySpec::PeakInterval { interval: 7, epsilon: 2 }),
+            Pred::Feature(QuerySpec::HasSteepPeak { steepness: 1.5, slack: 0.3 }),
+            Pred::ValueBand { query: goalpost(GoalpostSpec::default()), delta: 1.0, slack: 0.5 },
         ]
     }
 
@@ -1291,7 +1219,7 @@ mod tests {
                 let engine =
                     QueryEngine::new(EngineConfig { workers, shards, ..EngineConfig::default() })
                         .unwrap();
-                let out = engine.run(&archive, &batch()).unwrap();
+                let out = run_wave(&engine, &archive.snapshot(), &batch()).unwrap();
                 assert_eq!(out, reference, "workers={workers} shards={shards}");
             }
         }
@@ -1301,7 +1229,7 @@ mod tests {
     fn batch_finds_the_goalposts() {
         let archive = mixed_archive(30);
         let engine = QueryEngine::new(EngineConfig::default()).unwrap();
-        let out = engine.run(&archive, &batch()).unwrap();
+        let out = run_wave(&engine, &archive.snapshot(), &batch()).unwrap();
         // Ids 0, 3, 6, ... are goalposts: two peaks each.
         let twos = &out[1];
         for id in (0..30).step_by(3) {
@@ -1313,11 +1241,11 @@ mod tests {
     fn cache_serves_repeated_batches() {
         let archive = mixed_archive(12);
         let engine = QueryEngine::new(EngineConfig::default()).unwrap();
-        let first = engine.run(&archive, &batch()).unwrap();
+        let first = run_wave(&engine, &archive.snapshot(), &batch()).unwrap();
         let cold = engine.cache_stats();
         assert_eq!(cold.misses, 12, "one miss per sequence");
         archive.reset_clock();
-        let second = engine.run(&archive, &batch()).unwrap();
+        let second = run_wave(&engine, &archive.snapshot(), &batch()).unwrap();
         let warm = engine.cache_stats();
         assert_eq!(first, second);
         assert_eq!(warm.misses, cold.misses, "warm run recomputes nothing");
@@ -1344,13 +1272,13 @@ mod tests {
         }
         archive.compact().unwrap();
         let index_batch = vec![
-            BatchQuery::Feature(QuerySpec::Shape { pattern: "0* 1+ (-1)+ 0* 1+ (-1)+ 0*".into() }),
-            BatchQuery::Feature(QuerySpec::PeakInterval { interval: 7, epsilon: 2 }),
+            Pred::Feature(QuerySpec::Shape { pattern: "0* 1+ (-1)+ 0* 1+ (-1)+ 0*".into() }),
+            Pred::Feature(QuerySpec::PeakInterval { interval: 7, epsilon: 2 }),
         ];
         let engine = QueryEngine::new(EngineConfig::default()).unwrap();
         let reference = engine.run_sequential(&template, &index_batch).unwrap();
         let before = archive.fetch_count();
-        let out = engine.run(&archive, &index_batch).unwrap();
+        let out = run_wave(&engine, &archive.snapshot(), &index_batch).unwrap();
         assert_eq!(out, reference, "cold-served results match recomputing everything");
         assert_eq!(
             archive.fetch_count(),
@@ -1361,14 +1289,17 @@ mod tests {
         // fetch → break → represent pipeline; everything else stays cold.
         archive.put(3, random_walk(64, 0.0, 0.2, 99));
         let before = archive.fetch_count();
-        let out = engine.run(&archive, &index_batch).unwrap();
+        let out = run_wave(&engine, &archive.snapshot(), &index_batch).unwrap();
         assert_eq!(archive.fetch_count() - before, 1, "only the dirtied id pays a fetch");
         assert_eq!(out, engine.run_sequential(&archive, &index_batch).unwrap());
         // Entry-scan leaves force the pipeline regardless of cold docs.
         let before = archive.fetch_count();
-        engine
-            .run(&archive, &[BatchQuery::Feature(QuerySpec::PeakCount { count: 2, tolerance: 0 })])
-            .unwrap();
+        run_wave(
+            &engine,
+            &archive.snapshot(),
+            &[Pred::Feature(QuerySpec::PeakCount { count: 2, tolerance: 0 })],
+        )
+        .unwrap();
         assert!(archive.fetch_count() > before, "scan leaves still fetch");
     }
 
@@ -1382,7 +1313,7 @@ mod tests {
         })
         .unwrap();
         let reference = engine.run_sequential(&archive, &batch()).unwrap();
-        assert_eq!(engine.run(&archive, &batch()).unwrap(), reference);
+        assert_eq!(run_wave(&engine, &archive.snapshot(), &batch()).unwrap(), reference);
         assert!(engine.cache_stats().evictions > 0, "capacity 2 must evict");
     }
 
@@ -1392,14 +1323,17 @@ mod tests {
         archive.put(1, goalpost(GoalpostSpec::default()));
         archive.put(2, goalpost(GoalpostSpec::default()));
         let engine = QueryEngine::new(EngineConfig::default()).unwrap();
-        let two_peaks = vec![BatchQuery::Feature(QuerySpec::PeakCount { count: 2, tolerance: 0 })];
-        assert_eq!(engine.run(&archive, &two_peaks).unwrap()[0].exact, vec![1, 2]);
+        let two_peaks = vec![Pred::Feature(QuerySpec::PeakCount { count: 2, tolerance: 0 })];
+        assert_eq!(
+            run_wave(&engine, &archive.snapshot(), &two_peaks).unwrap()[0].exact,
+            vec![1, 2]
+        );
 
         // Replace id 1 with a one-peak sequence: the put bumps the
         // archive's generation and logs the dirty id, so the warm engine
         // drops exactly that entry on the next run — id 2 stays cached.
         archive.put(1, peaks(PeaksSpec { centers: vec![12.0], ..PeaksSpec::default() }));
-        assert_eq!(engine.run(&archive, &two_peaks).unwrap()[0].exact, vec![2]);
+        assert_eq!(run_wave(&engine, &archive.snapshot(), &two_peaks).unwrap()[0].exact, vec![2]);
         let stats = engine.cache_stats();
         assert_eq!(stats.misses, 3, "two cold misses + the one dirty id");
         assert_eq!(stats.hits, 1, "the clean entry survived the re-stamp");
@@ -1412,7 +1346,7 @@ mod tests {
         let reference = |a: &ArchiveStore| {
             QueryEngine::new(EngineConfig::default()).unwrap().run_sequential(a, &batch()).unwrap()
         };
-        engine.run(&archive, &batch()).unwrap();
+        run_wave(&engine, &archive.snapshot(), &batch()).unwrap();
         assert_eq!(archive.fetch_count(), 20, "cold run fetches everything");
 
         // k = 3 puts: one brand-new id, two replacements.
@@ -1420,7 +1354,7 @@ mod tests {
         archive.put(4, peaks(PeaksSpec { centers: vec![12.0], seed: 4, ..PeaksSpec::default() }));
         archive.put(7, random_walk(64, 0.0, 0.2, 77));
         let before = archive.fetch_count();
-        let out = engine.run(&archive, &batch()).unwrap();
+        let out = run_wave(&engine, &archive.snapshot(), &batch()).unwrap();
         assert_eq!(
             archive.fetch_count() - before,
             3,
@@ -1433,7 +1367,7 @@ mod tests {
         // just not incremental.
         archive.mark_all_changed();
         let before = archive.fetch_count();
-        let out = engine.run(&archive, &batch()).unwrap();
+        let out = run_wave(&engine, &archive.snapshot(), &batch()).unwrap();
         assert_eq!(archive.fetch_count() - before, 21, "unknown delta refetches everything");
         assert_eq!(out, reference(&archive));
     }
@@ -1448,7 +1382,7 @@ mod tests {
             tiered.insert(&goalpost(GoalpostSpec { seed: i, ..GoalpostSpec::default() })).unwrap();
         }
         let engine = QueryEngine::new(EngineConfig::default()).unwrap();
-        engine.run(tiered.archive(), &batch()).unwrap();
+        run_wave(&engine, &tiered.archive().snapshot(), &batch()).unwrap();
         let before = tiered.archive().fetch_count();
 
         // The tracked-mutation path records exactly the touched id…
@@ -1456,7 +1390,7 @@ mod tests {
         tiered
             .with_archive_put(id, &peaks(PeaksSpec { centers: vec![12.0], ..PeaksSpec::default() }))
             .unwrap();
-        engine.run(tiered.archive(), &batch()).unwrap();
+        run_wave(&engine, &tiered.archive().snapshot(), &batch()).unwrap();
         assert_eq!(
             tiered.archive().fetch_count() - before,
             1,
@@ -1466,7 +1400,7 @@ mod tests {
         // …whereas the wildcard borrow degrades to full invalidation.
         tiered.archive_mut();
         let before = tiered.archive().fetch_count();
-        engine.run(tiered.archive(), &batch()).unwrap();
+        run_wave(&engine, &tiered.archive().snapshot(), &batch()).unwrap();
         assert_eq!(tiered.archive().fetch_count() - before, 12);
     }
 
@@ -1475,7 +1409,7 @@ mod tests {
         let mut archive = mixed_archive(6);
         let engine = QueryEngine::new(EngineConfig::default()).unwrap();
         let snap = archive.snapshot();
-        let expected = engine.run(&archive, &batch()).unwrap();
+        let expected = run_wave(&engine, &archive.snapshot(), &batch()).unwrap();
         let expr = QueryExpr::peak_count(2, 1).or(QueryExpr::peak_interval(10, 3));
         let expr_expected = engine.bind(&archive).execute(&expr).unwrap();
 
@@ -1483,10 +1417,14 @@ mod tests {
         archive.remove(0);
         archive.put(1, random_walk(64, 0.0, 0.2, 99));
         archive.put(50, goalpost(GoalpostSpec { seed: 50, ..GoalpostSpec::default() }));
-        assert_ne!(engine.run(&archive, &batch()).unwrap(), expected, "live results moved on");
+        assert_ne!(
+            run_wave(&engine, &archive.snapshot(), &batch()).unwrap(),
+            expected,
+            "live results moved on"
+        );
 
         // Pinned runs — batch and algebra alike — still see the old state.
-        assert_eq!(engine.run_snapshot(&snap, &batch()).unwrap(), expected);
+        assert_eq!(run_wave(&engine, &snap, &batch()).unwrap(), expected);
         assert_eq!(engine.bind_snapshot(snap).execute(&expr).unwrap(), expr_expected);
     }
 
@@ -1522,14 +1460,17 @@ mod tests {
         let snap1 = a1.snapshot();
         let stale_stamp = engine.ensure_fresh(&snap1);
 
-        let two_peaks = vec![BatchQuery::Feature(QuerySpec::PeakCount { count: 2, tolerance: 0 })];
-        assert!(engine.run(&a2, &two_peaks).unwrap()[0].exact.is_empty(), "a2's id 1 has 1 peak");
+        let two_peaks = vec![Pred::Feature(QuerySpec::PeakCount { count: 2, tolerance: 0 })];
+        assert!(
+            run_wave(&engine, &a2.snapshot(), &two_peaks).unwrap()[0].exact.is_empty(),
+            "a2's id 1 has 1 peak"
+        );
 
         // The stale-stamped path sees a1's real data, not a2's cache…
         let (entry, _, _) = engine.entry_for(&snap1, 1, stale_stamp).unwrap();
         assert_eq!(entry.peaks.len(), 2, "computed from a1, not served from a2's cache");
         // …and did not overwrite a2's cached entry.
-        assert!(engine.run(&a2, &two_peaks).unwrap()[0].exact.is_empty());
+        assert!(run_wave(&engine, &a2.snapshot(), &two_peaks).unwrap()[0].exact.is_empty());
         assert_eq!(engine.cache_stats().misses, 1, "a2's entry stayed cached throughout");
     }
 
@@ -1540,10 +1481,13 @@ mod tests {
         // Same id, different content.
         b.put(0, peaks(PeaksSpec { centers: vec![12.0], ..PeaksSpec::default() }));
         let engine = QueryEngine::new(EngineConfig::default()).unwrap();
-        let two_peaks = vec![BatchQuery::Feature(QuerySpec::PeakCount { count: 2, tolerance: 0 })];
-        assert!(engine.run(&a, &two_peaks).unwrap()[0].exact.contains(&0), "id 0 is a goalpost");
+        let two_peaks = vec![Pred::Feature(QuerySpec::PeakCount { count: 2, tolerance: 0 })];
         assert!(
-            !engine.run(&b, &two_peaks).unwrap()[0].exact.contains(&0),
+            run_wave(&engine, &a.snapshot(), &two_peaks).unwrap()[0].exact.contains(&0),
+            "id 0 is a goalpost"
+        );
+        assert!(
+            !run_wave(&engine, &b.snapshot(), &two_peaks).unwrap()[0].exact.contains(&0),
             "other archive's id 0 has one peak"
         );
     }
@@ -1552,10 +1496,10 @@ mod tests {
     fn empty_archive_and_empty_batch() {
         let archive = ArchiveStore::new(Medium::memory());
         let engine = QueryEngine::new(EngineConfig::default()).unwrap();
-        let out = engine.run(&archive, &batch()).unwrap();
+        let out = run_wave(&engine, &archive.snapshot(), &batch()).unwrap();
         assert_eq!(out.len(), batch().len());
         assert!(out.iter().all(|o| o.exact.is_empty() && o.approximate.is_empty()));
-        let none = engine.run(&mixed_archive(3), &[]).unwrap();
+        let none = run_wave(&engine, &mixed_archive(3).snapshot(), &[]).unwrap();
         assert!(none.is_empty());
     }
 
@@ -1578,14 +1522,11 @@ mod tests {
     fn bad_queries_rejected() {
         let archive = mixed_archive(3);
         let engine = QueryEngine::new(EngineConfig::default()).unwrap();
-        let bad_pattern = BatchQuery::Feature(QuerySpec::Shape { pattern: "((".into() });
-        assert!(engine.run(&archive, &[bad_pattern]).is_err());
-        let bad_band = BatchQuery::ValueBand {
-            query: goalpost(GoalpostSpec::default()),
-            delta: -1.0,
-            slack: 0.0,
-        };
-        assert!(engine.run(&archive, &[bad_band]).is_err());
+        let bad_pattern = Pred::Feature(QuerySpec::Shape { pattern: "((".into() });
+        assert!(run_wave(&engine, &archive.snapshot(), &[bad_pattern]).is_err());
+        let bad_band =
+            Pred::ValueBand { query: goalpost(GoalpostSpec::default()), delta: -1.0, slack: 0.0 };
+        assert!(run_wave(&engine, &archive.snapshot(), &[bad_band]).is_err());
     }
 
     #[test]
@@ -1598,9 +1539,12 @@ mod tests {
         // A different length never matches on values.
         archive.put(3, random_walk(10, 0.0, 0.1, 9));
         let engine = QueryEngine::new(EngineConfig::default()).unwrap();
-        let out = engine
-            .run(&archive, &[BatchQuery::ValueBand { query: center, delta: 0.5, slack: 1.0 }])
-            .unwrap();
+        let out = run_wave(
+            &engine,
+            &archive.snapshot(),
+            &[Pred::ValueBand { query: center, delta: 0.5, slack: 1.0 }],
+        )
+        .unwrap();
         assert_eq!(out[0].exact, vec![1]);
         let approx_ids: Vec<u64> = out[0].approximate.iter().map(|m| m.id).collect();
         assert_eq!(approx_ids, vec![2]);
@@ -1626,9 +1570,10 @@ mod tests {
         let archive = mixed_archive(24);
         let engine = QueryEngine::new(EngineConfig::default()).unwrap();
         for query in batch() {
-            let via_run = engine.run(&archive, std::slice::from_ref(&query)).unwrap().remove(0);
-            let via_expr =
-                engine.bind(&archive).execute(&QueryExpr::Leaf(query.to_pred())).unwrap();
+            let via_run = run_wave(&engine, &archive.snapshot(), std::slice::from_ref(&query))
+                .unwrap()
+                .remove(0);
+            let via_expr = engine.bind(&archive).execute(&QueryExpr::Leaf(query.clone())).unwrap();
             assert_eq!(via_run, via_expr, "{query:?}");
         }
     }
@@ -1752,29 +1697,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_shims_stay_byte_identical_to_the_unified_path() {
-        let archive = mixed_archive(18);
-        let engine = QueryEngine::new(EngineConfig::default()).unwrap();
-        let snapshot = archive.snapshot();
-        let via_run = engine.run(&archive, &batch()).unwrap();
-        let via_run_snapshot = engine.run_snapshot(&snapshot, &batch()).unwrap();
-        let via_requests: Vec<QueryOutcome> = engine
-            .run_requests(
-                &snapshot,
-                &batch()
-                    .iter()
-                    .map(|q| QueryRequest::expr(QueryExpr::Leaf(q.to_pred())))
-                    .collect::<Vec<_>>(),
-            )
-            .unwrap()
-            .into_iter()
-            .map(|r| r.unwrap().outcome)
-            .collect();
-        assert_eq!(via_run, via_requests);
-        assert_eq!(via_run_snapshot, via_requests);
-    }
-
-    #[test]
     fn per_worker_clocks_show_overlap() {
         let archive = mixed_archive(32);
         // Memory fetches cost ~nothing simulated and finish instantly, so
@@ -1789,7 +1711,7 @@ mod tests {
         let engine =
             QueryEngine::new(EngineConfig { workers: 4, shards: 8, ..EngineConfig::default() })
                 .unwrap();
-        engine.run(&disk, &batch()).unwrap();
+        run_wave(&engine, &disk.snapshot(), &batch()).unwrap();
         let report = engine.last_run_report();
         assert_eq!(report.workers(), 4);
         let total = report.sim_total_seconds();

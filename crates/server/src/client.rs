@@ -272,8 +272,8 @@ fn expect_snapshot(reply: &WireResponse) -> Result<SnapshotRef> {
 }
 
 /// A remote `saqd` behind the [`QueryEngine`] trait: `request`,
-/// `explain`, and the deprecated shims all answer over the wire, so code
-/// written against the trait runs unchanged against a server.
+/// `execute` and `explain` all answer over the wire, so code written
+/// against the trait runs unchanged against a server.
 ///
 /// The trait takes `&self`, so the single connection sits behind a mutex;
 /// callers wanting parallel in-flight queries should open one

@@ -493,7 +493,7 @@ impl Session {
     fn respond(&mut self, request: &WireRequest, writer: &Sink) -> WireResponse {
         match request.verb {
             Verb::Query => match request.to_request(self.pin) {
-                Ok(req) => self.run_query(req),
+                Ok(req) => self.dispatch_query(req),
                 Err(e) => {
                     self.metrics.errors.fetch_add(1, Ordering::Relaxed);
                     WireResponse::err(e.code(), &e.to_string())
@@ -605,7 +605,7 @@ impl Session {
         }
     }
 
-    fn run_query(&self, req: QueryRequest) -> WireResponse {
+    fn dispatch_query(&self, req: QueryRequest) -> WireResponse {
         if self.stopping.load(Ordering::SeqCst) {
             return stopping_err();
         }

@@ -10,7 +10,7 @@ use saq::core::algebra::QueryExpr;
 use saq::core::query::QuerySpec;
 use saq::core::store::StoreConfig;
 use saq::core::{QueryOutcome, QueryRequest};
-use saq::engine::{BatchQuery, EngineConfig, QueryEngine};
+use saq::engine::{EngineConfig, QueryEngine};
 use saq::sequence::generators::{random_walk, seismic_burst};
 use saq::sequence::Sequence;
 
@@ -31,12 +31,10 @@ fn station_data() -> Vec<Sequence> {
 fn run_wave(
     engine: &QueryEngine,
     archive: &ArchiveStore,
-    batch: &[BatchQuery],
+    batch: &[QueryRequest],
 ) -> Vec<QueryOutcome> {
-    let requests: Vec<QueryRequest> =
-        batch.iter().map(|q| QueryRequest::expr(QueryExpr::Leaf(q.to_pred()))).collect();
     engine
-        .run_requests(&archive.snapshot(), &requests)
+        .run_requests(&archive.snapshot(), batch)
         .unwrap()
         .into_iter()
         .map(|r| r.unwrap().outcome)
@@ -103,9 +101,9 @@ fn main() {
         ..EngineConfig::default()
     })
     .unwrap();
-    let batch = vec![
-        BatchQuery::Feature(query.clone()),
-        BatchQuery::Feature(QuerySpec::PeakCount { count: 1, tolerance: 1 }),
+    let batch = [
+        QueryRequest::expr(QueryExpr::from(query.clone())),
+        QueryRequest::expr(QueryExpr::peak_count(1, 1)),
     ];
     tiered.archive().reset_clock();
     let outcomes = run_wave(&engine, tiered.archive(), &batch);

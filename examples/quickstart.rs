@@ -3,9 +3,9 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
+use saq::core::algebra::{QueryEngine as _, QueryExpr, StoreEngine};
 use saq::core::alphabet::{series_symbols, symbols_to_string, DEFAULT_THETA};
 use saq::core::brk::{Breaker, LinearInterpolationBreaker};
-use saq::core::query::{evaluate, QuerySpec};
 use saq::core::repr::FunctionSeries;
 use saq::core::store::{SequenceStore, StoreConfig};
 use saq::curves::RegressionFitter;
@@ -47,7 +47,6 @@ fn main() {
     let mut store = SequenceStore::new(StoreConfig::default()).unwrap();
     let id = store.insert(&log).unwrap();
     let outcome =
-        evaluate(&store, &QuerySpec::Shape { pattern: "0* 1+ (-1)+ 0* 1+ (-1)+ 0*".into() })
-            .unwrap();
+        StoreEngine::new(&store).execute(&QueryExpr::shape("0* 1+ (-1)+ 0* 1+ (-1)+ 0*")).unwrap();
     println!("\ngoal-post query exact matches: {:?} (our log is id {id})", outcome.exact);
 }

@@ -27,15 +27,16 @@
 //! ## Quickstart
 //!
 //! ```
-//! use saq::core::{store::{SequenceStore, StoreConfig}, query::{evaluate, QuerySpec}};
+//! use saq::core::algebra::{QueryEngine as _, QueryExpr, StoreEngine};
+//! use saq::core::store::{SequenceStore, StoreConfig};
 //! use saq::sequence::generators::{goalpost, GoalpostSpec};
 //!
 //! // Ingest a 24-hour temperature log; query for goal-post fever.
 //! let mut store = SequenceStore::new(StoreConfig::default()).unwrap();
 //! let id = store.insert(&goalpost(GoalpostSpec::default())).unwrap();
-//! let out = evaluate(&store, &QuerySpec::Shape {
-//!     pattern: "0* 1+ (-1)+ 0* 1+ (-1)+ 0*".into(),
-//! }).unwrap();
+//! let out = StoreEngine::new(&store)
+//!     .execute(&QueryExpr::shape("0* 1+ (-1)+ 0* 1+ (-1)+ 0*"))
+//!     .unwrap();
 //! assert_eq!(out.exact, vec![id]);
 //! ```
 //!

@@ -1,20 +1,22 @@
-//! Shared ground truth for the algebra-level property suites
-//! (`prop_algebra.rs`, `prop_saql.rs`): a mixed corpus generator, a naive
-//! leaf-scan + set-algebra oracle written without `MatchSet` (so the
-//! engines' shared combinators are independently checked), `QueryExpr`
-//! strategies, and the harness asserting every planner-backed engine
-//! matches the oracle id-identically.
+//! Shared ground truth for the property suites (`prop_algebra.rs`,
+//! `prop_saql.rs`, `prop_engine.rs`, `prop_snapshot.rs`, …): a mixed corpus
+//! generator, a naive leaf-scan + set-algebra oracle written without
+//! `MatchSet` (so the engines' shared combinators are independently
+//! checked), `QueryExpr` strategies, the harness asserting every
+//! planner-backed engine matches the oracle id-identically, and a
+//! coalesced-wave runner for the sharded engine.
 
 // Each integration-test crate pulls in the subset it needs.
 #![allow(dead_code)]
 
 use proptest::prelude::*;
-use saq::archive::{ArchiveScanEngine, ArchiveStore, Medium};
+use saq::archive::{ArchiveScanEngine, ArchiveSnapshot, ArchiveStore, Medium};
 use saq::core::algebra::{
     IndexCaps, Planner, Pred, PreparedPred, QueryEngine, QueryExpr, StoreEngine,
 };
 use saq::core::query::{ApproximateMatch, QueryOutcome};
 use saq::core::store::{SequenceStore, StoreConfig, StoredEntry};
+use saq::core::QueryRequest;
 use saq::engine::{EngineConfig, QueryEngine as ShardedEngine};
 use saq::sequence::generators::{goalpost, peaks, random_walk, GoalpostSpec, PeaksSpec};
 use saq::sequence::Sequence;
@@ -267,4 +269,14 @@ pub fn assert_all_engines_match(
         );
     }
     Ok(())
+}
+
+/// Runs `requests` as one coalesced wave of the sharded engine pinned to
+/// `snap`; every request must succeed.
+pub fn run_wave(
+    engine: &ShardedEngine,
+    snap: &ArchiveSnapshot,
+    requests: &[QueryRequest],
+) -> Vec<QueryOutcome> {
+    engine.run_requests(snap, requests).unwrap().into_iter().map(|r| r.unwrap().outcome).collect()
 }

@@ -15,6 +15,7 @@ mod common;
 use common::{assert_all_engines_match, expr_strategy, ingest, mixed_sequence, GOALPOST};
 use proptest::prelude::*;
 use saq::core::algebra::{QueryEngine, QueryExpr, StoreEngine};
+use saq::core::{QueryRequest, QuerySpec};
 use saq::engine::{EngineConfig, QueryEngine as ShardedEngine};
 use saq::sequence::generators::{goalpost, GoalpostSpec};
 use saq::sequence::Sequence;
@@ -109,9 +110,9 @@ proptest! {
         }
     }
 
-    /// Single-leaf expressions through the trait's back-compat `evaluate`
-    /// agree with the classic store-level evaluator.
-    #[allow(deprecated)] // the shims must stay byte-identical until removal
+    /// A classic spec sent as a single-leaf request agrees, on the store
+    /// engine and the sharded engine, with executing its expression on
+    /// the store.
     #[test]
     fn evaluate_shim_agrees_with_store_evaluate(
         seeds in prop::collection::vec((0u64..4, 0u64..10_000), 5..20),
@@ -124,22 +125,24 @@ proptest! {
             seeds.iter().map(|&(kind, seed)| mixed_sequence(kind, seed)).collect();
         let (store, archive) = ingest(&corpus);
         let specs = [
-            saq::core::QuerySpec::Shape { pattern: GOALPOST.into() },
-            saq::core::QuerySpec::PeakCount { count, tolerance },
-            saq::core::QuerySpec::PeakInterval { interval, epsilon },
+            QuerySpec::Shape { pattern: GOALPOST.into() },
+            QuerySpec::PeakCount { count, tolerance },
+            QuerySpec::PeakInterval { interval, epsilon },
         ];
         for spec in &specs {
-            let classic = saq::core::query::evaluate(&store, spec).unwrap();
+            let expr = QueryExpr::from(spec.clone());
+            let classic = StoreEngine::new(&store).execute(&expr).unwrap();
+            let request = QueryRequest::expr(expr);
             prop_assert_eq!(
-                &StoreEngine::new(&store).evaluate(spec).unwrap(),
+                &StoreEngine::new(&store).request(&request).unwrap().outcome,
                 &classic,
-                "store engine shim: {:?}", spec
+                "store engine request: {:?}", spec
             );
             let engine = ShardedEngine::new(EngineConfig::default()).unwrap();
             prop_assert_eq!(
-                &engine.bind(&archive).evaluate(spec).unwrap(),
+                &engine.bind(&archive).request(&request).unwrap().outcome,
                 &classic,
-                "sharded shim: {:?}", spec
+                "sharded request: {:?}", spec
             );
         }
     }

@@ -1,62 +1,19 @@
 //! Equivalence of the sharded parallel batch engine with the sequential
-//! query paths: for every query type, `saq-engine` with multiple workers
-//! must return byte-identical result sets (same hits, same order) as both
-//! its own single-pass sequential oracle and the store-level
-//! `saq::core::query::evaluate`.
+//! query paths: for every query type, a coalesced `run_requests` wave with
+//! multiple workers must return byte-identical result sets (same hits,
+//! same order) as both the engine's own single-pass sequential oracle
+//! (`run_sequential`) and the index-assisted store engine.
 
+mod common;
+
+use common::{ingest, mixed_sequence, run_wave};
 use proptest::prelude::*;
-use saq::archive::{ArchiveStore, Medium};
-use saq::core::algebra::QueryExpr;
-use saq::core::query::{evaluate, QueryOutcome, QuerySpec};
-use saq::core::store::{SequenceStore, StoreConfig};
+use saq::core::algebra::{Pred, QueryEngine as _, QueryExpr, StoreEngine};
+use saq::core::query::QuerySpec;
 use saq::core::QueryRequest;
-use saq::engine::{BatchQuery, EngineConfig, QueryEngine};
-use saq::sequence::generators::{goalpost, peaks, random_walk, GoalpostSpec, PeaksSpec};
+use saq::engine::{EngineConfig, QueryEngine};
+use saq::sequence::generators::{goalpost, GoalpostSpec};
 use saq::sequence::Sequence;
-
-/// Builds the same corpus into a representation store (ids assigned by the
-/// store) and a raw archive (same ids), so both query paths see identical
-/// id → sequence mappings.
-fn ingest(corpus: &[Sequence]) -> (SequenceStore, ArchiveStore) {
-    let mut store = SequenceStore::new(StoreConfig::default()).unwrap();
-    let mut archive = ArchiveStore::new(Medium::memory());
-    for seq in corpus {
-        let id = store.insert(seq).unwrap();
-        archive.put(id, seq.clone());
-    }
-    (store, archive)
-}
-
-fn mixed_sequence(kind: u64, seed: u64) -> Sequence {
-    match kind % 4 {
-        0 => goalpost(GoalpostSpec { seed, noise: 0.15, ..GoalpostSpec::default() }),
-        1 => peaks(PeaksSpec {
-            centers: vec![4.0, 11.0, 19.0],
-            seed,
-            noise: 0.1,
-            ..PeaksSpec::default()
-        }),
-        2 => peaks(PeaksSpec { centers: vec![12.0], seed, noise: 0.2, ..PeaksSpec::default() }),
-        _ => random_walk(49, 0.0, 0.3, seed),
-    }
-}
-
-/// Runs `queries` as one coalesced wave through the unified request API,
-/// so the oracle suites cover the path every entry point now routes to.
-fn run_wave(
-    engine: &QueryEngine,
-    archive: &ArchiveStore,
-    queries: &[BatchQuery],
-) -> Vec<QueryOutcome> {
-    let requests: Vec<QueryRequest> =
-        queries.iter().map(|q| QueryRequest::expr(QueryExpr::Leaf(q.to_pred()))).collect();
-    engine
-        .run_requests(&archive.snapshot(), &requests)
-        .unwrap()
-        .into_iter()
-        .map(|r| r.unwrap().outcome)
-        .collect()
-}
 
 fn feature_queries() -> Vec<QuerySpec> {
     vec![
@@ -78,22 +35,24 @@ fn four_workers_match_sequential_paths_on_200_sequences() {
     let engine =
         QueryEngine::new(EngineConfig { workers: 4, shards: 16, ..EngineConfig::default() })
             .unwrap();
-    let mut batch: Vec<BatchQuery> =
-        feature_queries().into_iter().map(BatchQuery::Feature).collect();
-    batch.push(BatchQuery::ValueBand {
+    let mut preds: Vec<Pred> = feature_queries().into_iter().map(Pred::Feature).collect();
+    preds.push(Pred::ValueBand {
         query: goalpost(GoalpostSpec::default()),
         delta: 1.0,
         slack: 1.0,
     });
+    let requests: Vec<QueryRequest> =
+        preds.iter().cloned().map(QueryExpr::Leaf).map(QueryRequest::expr).collect();
 
-    let parallel = run_wave(&engine, &archive, &batch);
-    let sequential = engine.run_sequential(&archive, &batch).unwrap();
+    let parallel = run_wave(&engine, &archive.snapshot(), &requests);
+    let sequential = engine.run_sequential(&archive, &preds).unwrap();
     assert_eq!(parallel, sequential, "parallel vs sequential oracle");
 
     // Feature queries also agree with the store-level (index-assisted)
     // evaluator, hit for hit and byte for byte.
     for (spec, outcome) in feature_queries().iter().zip(&parallel) {
-        let store_outcome = evaluate(&store, spec).unwrap();
+        let store_outcome =
+            StoreEngine::new(&store).execute(&QueryExpr::from(spec.clone())).unwrap();
         assert_eq!(outcome, &store_outcome, "engine vs store for {spec:?}");
     }
 
@@ -133,10 +92,12 @@ proptest! {
             QuerySpec::MinPeakSteepness { steepness: 1.0, slack: 0.3 },
             QuerySpec::HasSteepPeak { steepness: 1.2, slack: 0.3 },
         ];
-        let batch: Vec<BatchQuery> = specs.iter().cloned().map(BatchQuery::Feature).collect();
-        let outcomes = run_wave(&engine, &archive, &batch);
-        for (spec, outcome) in specs.iter().zip(&outcomes) {
-            prop_assert_eq!(outcome, &evaluate(&store, spec).unwrap(), "{:?}", spec);
+        let exprs: Vec<QueryExpr> = specs.iter().cloned().map(QueryExpr::from).collect();
+        let requests: Vec<QueryRequest> = exprs.iter().cloned().map(QueryRequest::expr).collect();
+        let outcomes = run_wave(&engine, &archive.snapshot(), &requests);
+        let store_engine = StoreEngine::new(&store);
+        for (expr, outcome) in exprs.iter().zip(&outcomes) {
+            prop_assert_eq!(outcome, &store_engine.execute(expr).unwrap(), "{:?}", expr);
         }
     }
 
@@ -159,14 +120,11 @@ proptest! {
             ..EngineConfig::default()
         })
         .unwrap();
-        let batch = vec![BatchQuery::ValueBand {
-            query: goalpost(GoalpostSpec::default()),
-            delta,
-            slack,
-        }];
+        let band = Pred::ValueBand { query: goalpost(GoalpostSpec::default()), delta, slack };
+        let requests = [QueryRequest::expr(QueryExpr::Leaf(band.clone()))];
         prop_assert_eq!(
-            run_wave(&engine, &archive, &batch),
-            engine.run_sequential(&archive, &batch).unwrap()
+            run_wave(&engine, &archive.snapshot(), &requests),
+            engine.run_sequential(&archive, &[band]).unwrap()
         );
     }
 }

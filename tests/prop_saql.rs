@@ -75,8 +75,8 @@ proptest! {
     }
 
     /// The re-parsed tree, run through every engine, matches the PR 3
-    /// oracle — and the textual entry point (`execute_saql`) agrees with
-    /// executing the constructed tree.
+    /// oracle — and a textual `QueryRequest::saql` agrees with executing
+    /// the constructed tree.
     #[test]
     fn reparsed_trees_match_every_engine_and_the_oracle(
         seeds in prop::collection::vec((0u64..4, 0u64..10_000), 6..20),

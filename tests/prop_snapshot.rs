@@ -13,14 +13,14 @@
 
 mod common;
 
-use common::{mixed_sequence, naive_eval, to_outcome};
+use common::{mixed_sequence, naive_eval, run_wave, to_outcome};
 use proptest::prelude::*;
 use saq::archive::{ArchiveScanEngine, ArchiveSnapshot, ArchiveStore, Medium};
 use saq::core::algebra::{Planner, QueryEngine as _, QueryExpr};
 use saq::core::query::QueryOutcome;
 use saq::core::store::{SequenceStore, SharedStore, StoreConfig, StoreSnapshot, StoredEntry};
 use saq::core::QueryRequest;
-use saq::engine::{BatchQuery, EngineConfig, QueryEngine as ShardedEngine};
+use saq::engine::{EngineConfig, QueryEngine as ShardedEngine};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -51,18 +51,6 @@ fn store_oracle(snap: &StoreSnapshot, expr: &QueryExpr) -> QueryOutcome {
     to_outcome(naive_eval(&Planner::normalize(expr), &ids, &refs))
 }
 
-/// Runs `queries` as one coalesced wave over a pinned snapshot through
-/// the unified request API.
-fn run_wave(
-    engine: &ShardedEngine,
-    snap: &ArchiveSnapshot,
-    queries: &[BatchQuery],
-) -> Vec<QueryOutcome> {
-    let requests: Vec<QueryRequest> =
-        queries.iter().map(|q| QueryRequest::expr(QueryExpr::Leaf(q.to_pred()))).collect();
-    engine.run_requests(snap, &requests).unwrap().into_iter().map(|r| r.unwrap().outcome).collect()
-}
-
 /// One writer mutation: `(slot, kind, seed)` — slot picks the id, kind
 /// picks put/remove/rewrite, seed varies the content.
 type WriteOp = (u64, u64, u64);
@@ -84,11 +72,10 @@ fn small_exprs() -> Vec<QueryExpr> {
     ]
 }
 
-fn batch() -> Vec<BatchQuery> {
-    use saq::core::query::QuerySpec;
+fn batch() -> Vec<QueryRequest> {
     vec![
-        BatchQuery::Feature(QuerySpec::PeakCount { count: 2, tolerance: 1 }),
-        BatchQuery::Feature(QuerySpec::PeakInterval { interval: 10, epsilon: 3 }),
+        QueryRequest::expr(QueryExpr::peak_count(2, 1)),
+        QueryRequest::expr(QueryExpr::peak_interval(10, 3)),
     ]
 }
 
@@ -159,7 +146,7 @@ proptest! {
                         }
                         let outs = run_wave(&engine, &snap, queries);
                         for (q, out) in queries.iter().zip(&outs) {
-                            let expected = archive_oracle(&snap, &QueryExpr::Leaf(q.to_pred()));
+                            let expected = archive_oracle(&snap, &q.resolve().unwrap());
                             assert_eq!(out, &expected, "batch @{generation}");
                         }
                         assert_eq!(snap.generation(), generation, "a snapshot never moves");
@@ -319,7 +306,7 @@ fn rerun_after_k_puts_fetches_exactly_k_sequences() {
         let outs = run_wave(&engine, &snap, &queries);
         assert_eq!(archive.fetch_count() - before, k, "exactly the {k} dirty ids re-fetched");
         for (q, out) in queries.iter().zip(&outs) {
-            assert_eq!(out, &archive_oracle(&snap, &QueryExpr::Leaf(q.to_pred())));
+            assert_eq!(out, &archive_oracle(&snap, &q.resolve().unwrap()));
         }
     }
 }
